@@ -67,8 +67,7 @@ def set_store(store: Optional[CacheStore]) -> None:
 # ---------------------------------------------------------------------------
 
 def cached_compile(sdfg, device: str = "CPU", instrument: bool = False,
-                   sanitize: bool = False, govern: bool = False,
-                   optimize: Optional[str] = None,
+                   sanitize: bool = False, optimize: Optional[str] = None,
                    store: Optional[CacheStore] = None):
     """Compile *sdfg* through the content-addressed cache.
 
@@ -84,12 +83,12 @@ def cached_compile(sdfg, device: str = "CPU", instrument: bool = False,
 
     coll = instrumentation.current()
     if not Config.get("cache.enabled"):
-        return _compile_full(sdfg, device, instrument, sanitize, govern,
-                             optimize, coll)
+        return _compile_full(sdfg, device, instrument, sanitize, optimize,
+                             coll)
     store = store or get_store()
     start = time.perf_counter()
     key = cache_key(sdfg, device=device, instrument=instrument,
-                    sanitize=sanitize, govern=govern, optimize=optimize)
+                    sanitize=sanitize, optimize=optimize)
 
     compiled = store.get_memory(key)
     if compiled is not None:
@@ -102,7 +101,7 @@ def cached_compile(sdfg, device: str = "CPU", instrument: bool = False,
     if entry is not None:
         try:
             compiled = _rehydrate(entry, device=device, instrument=instrument,
-                                  sanitize=sanitize, govern=govern)
+                                  sanitize=sanitize)
         except Exception:
             # a structurally unusable entry is as good as a corrupted one
             store.invalidate(key)
@@ -116,8 +115,8 @@ def cached_compile(sdfg, device: str = "CPU", instrument: bool = False,
     stats().bump("misses")
     if coll is not None:
         coll.add("cache", "miss", time.perf_counter() - start)
-    compiled = _compile_full(sdfg, device, instrument, sanitize, govern,
-                             optimize, coll)
+    compiled = _compile_full(sdfg, device, instrument, sanitize, optimize,
+                             coll)
     entry = _make_entry(key, compiled, optimize)
     if entry is not None:
         store.write_disk(entry)
@@ -125,7 +124,7 @@ def cached_compile(sdfg, device: str = "CPU", instrument: bool = False,
     return compiled
 
 
-def _compile_full(sdfg, device, instrument, sanitize, govern, optimize, coll):
+def _compile_full(sdfg, device, instrument, sanitize, optimize, coll):
     from ..codegen.compiled import CompiledSDFG
 
     work = sdfg
@@ -137,11 +136,11 @@ def _compile_full(sdfg, device, instrument, sanitize, govern, optimize, coll):
         else:
             work.auto_optimize(device=optimize)
     return CompiledSDFG(work, device=device, instrument=instrument,
-                        sanitize=sanitize, govern=govern)
+                        sanitize=sanitize)
 
 
 def _rehydrate(entry: CacheEntry, device: str, instrument: bool,
-               sanitize: bool, govern: bool = False):
+               sanitize: bool):
     """Rebuild a CompiledSDFG from a disk entry without code generation."""
     from ..codegen.compiled import CompiledSDFG
     from ..codegen.pygen import rehydrate_module
@@ -149,12 +148,11 @@ def _rehydrate(entry: CacheEntry, device: str, instrument: bool,
 
     sdfg = sdfg_from_json(entry.sdfg_json)
     run = rehydrate_module(sdfg, entry.source, entry.closure_specs,
-                           instrument=instrument, sanitize=sanitize,
-                           govern=govern)
+                           instrument=instrument, sanitize=sanitize)
     return CompiledSDFG.from_cached(sdfg, run, entry.source,
                                     closure_specs=entry.closure_specs,
                                     device=device, instrument=instrument,
-                                    sanitize=sanitize, govern=govern)
+                                    sanitize=sanitize)
 
 
 def _make_entry(key: str, compiled, optimize: Optional[str]
@@ -187,7 +185,6 @@ def _make_entry(key: str, compiled, optimize: Optional[str]
         device=compiled.device,
         instrument=compiled.instrumented,
         sanitize=compiled.sanitized,
-        govern=compiled.governed,
         optimize=optimize or "",
         created_utc=datetime.datetime.now(
             datetime.timezone.utc).isoformat(timespec="seconds"),

@@ -90,8 +90,7 @@ def config_digest() -> str:
 
 
 def cache_key(sdfg, device: str = "CPU", instrument: bool = False,
-              sanitize: bool = False, govern: bool = False,
-              optimize: Optional[str] = None) -> str:
+              sanitize: bool = False, optimize: Optional[str] = None) -> str:
     """Full content-addressed cache key (hex sha256).
 
     *optimize* names the device whose ``auto_optimize`` pipeline will run on
@@ -104,7 +103,6 @@ def cache_key(sdfg, device: str = "CPU", instrument: bool = False,
         str(device),
         f"instrument={int(bool(instrument))}",
         f"sanitize={int(bool(sanitize))}",
-        f"govern={int(bool(govern))}",
         f"optimize={optimize or ''}",
         config_digest(),
         code_version(),

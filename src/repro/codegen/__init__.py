@@ -1,6 +1,5 @@
 """Code generation: SDFG -> specialized executable modules (§3.3)."""
 
 from .compiled import CompiledSDFG, compile_sdfg
-from .pygen import generate_module
 
-__all__ = ["CompiledSDFG", "compile_sdfg", "generate_module"]
+__all__ = ["CompiledSDFG", "compile_sdfg"]

@@ -33,15 +33,13 @@ class CompiledSDFG:
     """
 
     def __init__(self, sdfg, device: str = "CPU", instrument: bool = False,
-                 sanitize: bool = False, govern: bool = False,
-                 validate: bool = True):
+                 sanitize: bool = False, validate: bool = True):
         from .pygen import generate_payload
 
         self.sdfg = sdfg
         self.device = device
         self.instrumented = instrument
         self.sanitized = sanitize
-        self.governed = govern
         #: True when rehydrated from the compilation cache
         self.from_cache = False
         coll = instrumentation._ACTIVE
@@ -54,7 +52,7 @@ class CompiledSDFG:
                 coll.add("phase", "validate", self.validate_seconds)
         start = time.perf_counter()
         self._run, self.source, self.closure_specs = generate_payload(
-            sdfg, instrument=instrument, sanitize=sanitize, govern=govern)
+            sdfg, instrument=instrument, sanitize=sanitize)
         self.codegen_seconds = time.perf_counter() - start
         if coll is not None:
             coll.add("phase", "codegen", self.codegen_seconds)
@@ -67,8 +65,7 @@ class CompiledSDFG:
     def from_cached(cls, sdfg, run, source: str,
                     closure_specs: Optional[Dict[str, Tuple[int, int]]] = None,
                     device: str = "CPU", instrument: bool = False,
-                    sanitize: bool = False,
-                    govern: bool = False) -> "CompiledSDFG":
+                    sanitize: bool = False) -> "CompiledSDFG":
         """Wrap an already-rehydrated module (cache hit): no validation, no
         code generation."""
         obj = cls.__new__(cls)
@@ -76,7 +73,6 @@ class CompiledSDFG:
         obj.device = device
         obj.instrumented = instrument
         obj.sanitized = sanitize
-        obj.governed = govern
         obj.from_cache = True
         obj.validate_seconds = 0.0
         obj._run = run
@@ -116,7 +112,7 @@ class CompiledSDFG:
 
 
 def compile_sdfg(sdfg, device: str = "CPU", instrument: bool = False,
-                 sanitize: bool = False, govern: bool = False,
+                 sanitize: bool = False,
                  cache: Optional[bool] = None) -> CompiledSDFG:
     """Compile an SDFG into an executable specialized module.
 
@@ -133,6 +129,6 @@ def compile_sdfg(sdfg, device: str = "CPU", instrument: bool = False,
         from ..cache import cached_compile
 
         return cached_compile(sdfg, device=device, instrument=instrument,
-                              sanitize=sanitize, govern=govern)
+                              sanitize=sanitize)
     return CompiledSDFG(sdfg, device=device, instrument=instrument,
-                        sanitize=sanitize, govern=govern)
+                        sanitize=sanitize)

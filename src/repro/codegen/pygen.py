@@ -33,8 +33,7 @@ from ..symbolic import Expr, Integer, Range, definitely_eq
 from .support import (Max, Min, align_axes, dim_length, make_slice,
                       store_aligned, wcr_store)
 
-__all__ = ["generate_module", "generate_payload", "rehydrate_module",
-           "affine_decompose"]
+__all__ = ["generate_payload", "rehydrate_module", "affine_decompose"]
 
 
 def affine_decompose(expr: Expr, params: Sequence[str]):
@@ -811,8 +810,7 @@ def _build_scope_order(state):
 # Module assembly
 # ---------------------------------------------------------------------------
 
-def generate_payload(sdfg, instrument: bool = False, sanitize: bool = False,
-                     govern: bool = False
+def generate_payload(sdfg, instrument: bool = False, sanitize: bool = False
                      ) -> Tuple[object, str, Dict[str, Tuple[int, int]]]:
     """Generate the specialized module for an SDFG.
 
@@ -825,17 +823,19 @@ def generate_payload(sdfg, instrument: bool = False, sanitize: bool = False,
     With ``instrument=True`` the module carries per-state and per-map-scope
     timing hooks that report to :mod:`repro.instrumentation`; with
     ``sanitize=True`` it carries index-bounds and NaN/Inf guard calls that
-    report to :mod:`repro.sanitizer.guards`; with ``govern=True`` it calls
-    the governor's cooperative-cancellation ``__tick`` at every state
-    boundary (deadline/cancel checks; :mod:`repro.governor.budget`).
-    Without the flags the generated source is hook-free (the
-    zero-overhead-when-off guarantee).
+    report to :mod:`repro.sanitizer.guards`.  Without the flags the
+    generated source is hook-free (the zero-overhead-when-off guarantee).
+    Every module makes one state-boundary call per transition, which checks
+    the governor's armed budget and fires the checkpoint hook
+    (:func:`repro.resilience.hooks.state_boundary`).
     """
     gen = _Generator(sdfg, instrument=instrument, sanitize=sanitize)
     states = sdfg.topological_states()
     index = {s: i for i, s in enumerate(states)}
 
     lines = gen.lines
+    # state labels by index: the governor names the last completed state
+    lines.append(f"__labels = {tuple(s.label for s in states)!r}")
     lines.append("def __run(__c, __s, __visits=None, __start=None):")
     lines.append("    if __visits is None: __visits = {}")
     # containers: transients with entry-known shapes allocate up front;
@@ -867,12 +867,10 @@ def generate_payload(sdfg, instrument: bool = False, sanitize: bool = False,
     lines.append(f"    __state = {index.get(sdfg.start_state, 0)} "
                  "if __start is None else __start")
     lines.append("    while __state >= 0:")
-    # checkpoint/abort hook at every state boundary (a thread-local read
-    # when no distributed checkpointer is installed; see resilience.hooks)
-    lines.append("        __ckpt(__state, __c, __s)")
-    if govern:
-        # cooperative cancellation: deadline/cancel check per transition
-        lines.append("        __tick(__state)")
+    # the one state-boundary call: governor deadline/cancel check, then the
+    # checkpoint/abort hook (two thread-local reads when neither is armed;
+    # see resilience.hooks)
+    lines.append("        __ckpt(__state, __c, __s, __labels)")
     lines.append("        __visits[__state] = __visits.get(__state, 0) + 1")
     for state in states:
         si = index[state]
@@ -909,27 +907,12 @@ def generate_payload(sdfg, instrument: bool = False, sanitize: bool = False,
 
     source = "\n".join(lines) + "\n"
     run = _exec_module(sdfg, source, gen.closures, instrument=instrument,
-                       sanitize=sanitize, govern=govern)
+                       sanitize=sanitize)
     return run, source, _closure_specs(sdfg, gen.closure_nodes)
 
 
-def generate_module(sdfg, instrument: bool = False,
-                    sanitize: bool = False,
-                    govern: bool = False) -> Tuple[object, str]:
-    """Generate the specialized module for an SDFG.
-
-    Returns ``(run_callable, source)``; see :func:`generate_payload` for the
-    variant that also reports the closure specification needed to cache the
-    module on disk.
-    """
-    run, source, _ = generate_payload(sdfg, instrument=instrument,
-                                      sanitize=sanitize, govern=govern)
-    return run, source
-
-
 def rehydrate_module(sdfg, source: str, closure_specs: Dict[str, Sequence[int]],
-                     instrument: bool = False, sanitize: bool = False,
-                     govern: bool = False):
+                     instrument: bool = False, sanitize: bool = False):
     """Rebuild a module's ``run`` callable from cached *source* without
     re-running code generation.
 
@@ -945,7 +928,7 @@ def rehydrate_module(sdfg, source: str, closure_specs: Dict[str, Sequence[int]],
         node = state.nodes()[node_idx]
         closures[name] = _make_node_runner(sdfg, state, node)
     return _exec_module(sdfg, source, closures, instrument=instrument,
-                        sanitize=sanitize, govern=govern)
+                        sanitize=sanitize)
 
 
 def _make_node_runner(sdfg, state, node):
@@ -974,7 +957,7 @@ def _closure_specs(sdfg, closure_nodes: Dict[str, tuple]) -> Dict[str, Tuple[int
 
 
 def _exec_module(sdfg, source: str, closures: Dict[str, object],
-                 instrument: bool, sanitize: bool, govern: bool = False):
+                 instrument: bool, sanitize: bool):
     """Exec generated *source* in its execution namespace; return ``__run``."""
     import math as _math
 
@@ -1018,19 +1001,6 @@ def _exec_module(sdfg, source: str, closures: Dict[str, object],
 
         namespace["__guard_read"] = _sg.guard_read
         namespace["__guard_write"] = _sg.guard_write
-
-    if govern:
-        from ..governor import budget as _gb
-
-        labels = [s.label for s in sdfg.topological_states()]
-
-        def _tick(i, _labels=labels):
-            a = _gb.current()
-            if a is not None:
-                a.boundary(_labels[i] if 0 <= i < len(_labels)
-                           else f"state{i}")
-
-        namespace["__tick"] = _tick
 
     namespace["__alloc"] = lambda name, symbols: allocate_container(
         sdfg.arrays[name], symbols)

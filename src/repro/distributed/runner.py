@@ -86,7 +86,6 @@ def run_distributed(program, size: int, grid: Optional[ProcessGrid] = None,
     budget = Budget.resolve(budget)
     if budget.is_null:
         budget = None
-    govern = budget is not None and budget.deadline_s is not None
     if isinstance(program, DaceProgram):
         sdfg = program.to_sdfg()
     elif isinstance(program, SDFG):
@@ -103,7 +102,7 @@ def run_distributed(program, size: int, grid: Optional[ProcessGrid] = None,
 
         sdfg = sdfg.clone()
         commopt_applied = optimize_comm(sdfg)
-    compiled = compile_sdfg(sdfg, govern=govern)
+    compiled = compile_sdfg(sdfg)
 
     grid_obj = grid or ProcessGrid(size)
     visits_holder: Dict[int, int] = {}

@@ -47,7 +47,6 @@ class DaceProgram:
 
     def __init__(self, func: Callable, auto_optimize: bool = False,
                  device: str = "CPU", fallback: Optional[bool] = None,
-                 backend: str = "codegen",
                  instrument: Optional[str] = None,
                  sanitize: Optional[str] = None,
                  budget=None):
@@ -57,7 +56,6 @@ class DaceProgram:
         self.auto_optimize = auto_optimize
         self.device = device
         self.fallback = fallback
-        self.backend = backend
         #: per-program instrumentation mode; None defers to the
         #: ``instrument.mode`` configuration key
         self.instrument = instrument
@@ -185,19 +183,17 @@ class DaceProgram:
     # ---------------------------------------------------------------- execution
     def compile(self, *args, device: Optional[str] = None,
                 instrument: bool = False,
-                sanitize: Optional[bool] = None,
-                govern: Optional[bool] = None, **kwargs):
+                sanitize: Optional[bool] = None, **kwargs):
         """Ahead-of-time compile; returns a CompiledSDFG.
 
         ``instrument=True`` compiles a module with timing hooks (cached
         separately from the plain module); ``sanitize=True`` one with
         bounds/NaN guard calls (``sanitize=None`` defers to the program's
-        resolved sanitizer mode); ``govern=True`` one with cooperative
-        deadline-check ticks at state boundaries (``govern=None``
-        auto-detects an armed deadline on the calling thread).  When a
-        profile collector is active, the compile phases (parse, autoopt,
-        validate, codegen) report their wall time to it — the Fig. 6
-        decomposition.
+        resolved sanitizer mode).  Governed and ungoverned calls share one
+        module: its state-boundary call checks whatever budget is armed.
+        When a profile collector is active, the compile phases (parse,
+        autoopt, validate, codegen) report their wall time to it — the
+        Fig. 6 decomposition.
 
         Compilation is keyed through the persistent content-addressed cache
         (:mod:`repro.cache`): a hit — even in a fresh process — rehydrates
@@ -216,18 +212,13 @@ class DaceProgram:
             sdfg = self.to_sdfg(*args, **kwargs)
         if sanitize is None:
             sanitize = bool(self._sanitize_mode())
-        if govern is None:
-            from ..governor import budget as _gb
-
-            active = _gb.current()
-            govern = active is not None and active.deadline is not None
         key = (self._desc_key(self.to_sdfg_descs(args, kwargs)), device,
-               self.auto_optimize, instrument, sanitize, govern)
+               self.auto_optimize, instrument, sanitize)
         if key in self._compiled_cache:
             return self._compiled_cache[key]
         compiled = cached_compile(
             sdfg, device=device, instrument=instrument, sanitize=sanitize,
-            govern=govern, optimize=device if self.auto_optimize else None)
+            optimize=device if self.auto_optimize else None)
         self._compiled_cache[key] = compiled
         return compiled
 
@@ -345,12 +336,11 @@ class DaceProgram:
             if budget.max_bytes:
                 decision = self._admit(args, kwargs, budget)
             if budget.deadline_s:
-                # pre-warm the governed module outside the deadline window;
-                # dispatch re-raises compile errors with full context
+                # compile outside the deadline window; dispatch re-raises
+                # compile errors with full context
                 try:
                     self.compile(
-                        *args, govern=True,
-                        instrument=self._instrument_mode() != "off",
+                        *args, instrument=self._instrument_mode() != "off",
                         **kwargs)
                 except Exception:
                     pass
@@ -545,12 +535,14 @@ def _value_to_desc(value) -> Data:
 
 def program(func: Optional[Callable] = None, *, auto_optimize: bool = False,
             device: str = "CPU", fallback: Optional[bool] = None,
-            backend: str = "codegen", instrument: Optional[str] = None,
+            instrument: Optional[str] = None,
             sanitize: Optional[str] = None, budget=None):
     """Decorator marking a function as a data-centric program.
 
-    Usable bare (``@repro.program``) or with options
-    (``@repro.program(auto_optimize=True, device="GPU")``).
+    Usable bare (``@repro.program``), with options
+    (``@repro.program(auto_optimize=True, device="GPU")``), or as a call
+    (``repro.program(func, auto_optimize=True)``); every form applies the
+    same options.
     ``instrument="timers"`` forces profiling for this program;
     ``sanitize="bounds,nan"`` enables runtime guards (bounds/NaN checks in
     both the interpreter and the generated module);
@@ -560,13 +552,10 @@ def program(func: Optional[Callable] = None, *, auto_optimize: bool = False,
     (``instrument.mode`` / ``sanitize.mode`` / ``governor.*``).  A single
     call can also be governed via the reserved ``__budget`` keyword.
     """
-    if func is not None:
-        return DaceProgram(func)
 
     def wrapper(f: Callable) -> DaceProgram:
         return DaceProgram(f, auto_optimize=auto_optimize, device=device,
-                           fallback=fallback, backend=backend,
-                           instrument=instrument, sanitize=sanitize,
-                           budget=budget)
+                           fallback=fallback, instrument=instrument,
+                           sanitize=sanitize, budget=budget)
 
-    return wrapper
+    return wrapper if func is None else wrapper(func)

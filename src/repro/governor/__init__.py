@@ -14,10 +14,11 @@ chain (§7), state-boundary hooks (§10), and descriptor machinery:
   with an itemized :class:`MemoryBudgetExceeded` — or degrades to the
   serial tier when that fits.
 * :mod:`~repro.governor.budget` arms a monotonic watchdog per run; the
-  interpreter loop, generated modules (``__tick``, a separate cache-key
-  variant like ``sanitize``), parallel chunk boundaries and simmpi op
-  polling check it cooperatively, raising :class:`ExecutionTimeout` naming
-  the last-completed state.
+  state-boundary call both engines make at every state transition (the
+  same call that fires the checkpoint hook, so governed and ungoverned
+  calls share one compiled module), parallel chunk boundaries and simmpi
+  op polling check it cooperatively, raising :class:`ExecutionTimeout`
+  naming the last-completed state.
 * :mod:`~repro.governor.breaker` fast-fails programs that keep failing,
   keyed by the content-addressed cache fingerprint, with half-open probes
   after ``governor.cooldown_s``.

@@ -11,17 +11,19 @@ configuration keys.
 Arming a budget creates an :class:`ArmedBudget` bound to the current thread
 plus a monotonic-clock watchdog (a daemon :class:`threading.Timer`) that
 flips the ``expired`` flag at the deadline.  Cancellation is *cooperative*:
-the runtime checks the armed budget at the same state-boundary sites the
-checkpoint hooks use (interpreter state loop, the generated module's
-``__tick`` call, parallel chunk boundaries, simmpi op polling), so a
-timed-out run raises :class:`ExecutionTimeout` naming the last-completed
-state instead of hanging CI or a serving process.  A blocked tasklet cannot
-be preempted — the guarantee is "raises at the next boundary", which for
-SDFG state machines means within one state's work of the deadline.
+the runtime checks the armed budget at the one state-boundary call both
+engines make (:func:`repro.resilience.hooks.state_boundary`, which also
+fires the checkpoint hook), at parallel chunk boundaries and in simmpi op
+polling, so a timed-out run raises :class:`ExecutionTimeout` naming the
+last-completed state instead of hanging CI or a serving process.  A blocked
+tasklet cannot be preempted — the guarantee is "raises at the next
+boundary", which for SDFG state machines means within one state's work of
+the deadline.
 
-Zero overhead when off: every check site reads one thread-local slot and
-branches on ``None`` (the established single-check pattern of
-:mod:`repro.instrumentation` and :mod:`repro.resilience.hooks`).
+Zero overhead when off: every check site reads one thread-local slot
+(:data:`repro.boundary.slots`, shared with the checkpoint hook) and
+branches on ``None``; governed and ungoverned calls run the same compiled
+module.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import contextlib
 import threading
 import time
 from typing import Any, Dict, Iterator, Optional
+
+from ..boundary import slots as _tls
 
 __all__ = [
     "Budget", "ArmedBudget", "GovernorError", "ExecutionTimeout",
@@ -216,12 +220,9 @@ class ArmedBudget:
 # thread-local arming (the single-check activation pattern)
 # ---------------------------------------------------------------------------
 
-_tls = threading.local()
-
-
 def current() -> Optional[ArmedBudget]:
     """The budget armed on this thread, or None (the off fast path)."""
-    return getattr(_tls, "armed", None)
+    return _tls.armed
 
 
 @contextlib.contextmanager
@@ -237,7 +238,7 @@ def armed(budget: Optional[Budget], program: str = "",
         return
     a = ArmedBudget(budget, program=program, deadline_at=deadline_at)
     a.arm_watchdog()
-    prev = getattr(_tls, "armed", None)
+    prev = _tls.armed
     _tls.armed = a
     try:
         yield a
@@ -253,7 +254,7 @@ def adopt(a: Optional[ArmedBudget]) -> Iterator[None]:
     if a is None:
         yield
         return
-    prev = getattr(_tls, "armed", None)
+    prev = _tls.armed
     _tls.armed = a
     try:
         yield
@@ -263,6 +264,6 @@ def adopt(a: Optional[ArmedBudget]) -> Iterator[None]:
 
 def tick() -> None:
     """Manual cooperative check site (simmpi op polling and friends)."""
-    a = getattr(_tls, "armed", None)
+    a = _tls.armed
     if a is not None:
         a.check()

@@ -248,24 +248,42 @@ class SDFGState:
 
         By convention a MapExit's scope is its own MapEntry (i.e. the exit is
         *inside* the scope), matching DaCe.
+
+        A node's scope follows its data in-edges and the edges from a
+        MapEntry; empty-memlet ordering edges (state fusion adds them from
+        nodes outside a map) count only for a node with no other in-edge.
+        The innermost candidate wins, so the answer does not depend on
+        in-edge order, which a serialization round trip may change.
         """
         scope: Dict[Node, Optional[MapEntry]] = {}
+        depth: Dict[Optional[MapEntry], int] = {None: 0}
+        pred = self._graph._pred
         for node in self.topological_nodes():
             if isinstance(node, MapExit):
                 scope[node] = node.entry_node
                 continue
-            parents = self.predecessors(node)
-            if not parents:
-                scope[node] = None
-                continue
-            parent = parents[0]
-            if isinstance(parent, MapEntry):
-                scope[node] = parent
-            elif isinstance(parent, MapExit):
-                # node follows a closed scope: it lives where that map lives
-                scope[node] = scope.get(parent.entry_node, None)
-            else:
-                scope[node] = scope.get(parent, None)
+            inner, rank = None, (False, 0)
+            parents = pred[node]
+            for parent, edges in parents.items():
+                if isinstance(parent, MapEntry):
+                    candidate = parent
+                elif isinstance(parent, MapExit):
+                    # node follows a closed scope: it lives where that map lives
+                    candidate = scope.get(parent.entry_node)
+                else:
+                    candidate = scope.get(parent)
+                if len(parents) == 1:
+                    inner = candidate
+                    break
+                # several parents: rank by (carries data, nesting depth)
+                data = isinstance(parent, MapEntry) or any(
+                    not attrs["memlet"].is_empty() for attrs in edges.values())
+                candidate_rank = (data, depth.get(candidate, 0))
+                if candidate_rank > rank:
+                    inner, rank = candidate, candidate_rank
+            scope[node] = inner
+            if isinstance(node, MapEntry):
+                depth[node] = depth.get(inner, 0) + 1
         return scope
 
     def scope_children(self, entry: Optional[MapEntry]) -> List[Node]:

@@ -496,18 +496,16 @@ def _run_machine(sdfg, containers: Dict[str, Any], symbols: Dict[str, Any],
     state = start_state if start_state is not None else sdfg.start_state
     if state is None:
         return
-    hook = _hooks.active_hook()
-    state_index = ({s: i for i, s in enumerate(sdfg.topological_states())}
-                   if hook is not None else None)
-    # cooperative cancellation: one thread-local read per run; per-state
-    # cost when ungoverned is a single None check (DESIGN.md §12)
-    gov = _governor_budget.current()
+    # state indices follow the generated module's numbering (checkpoints
+    # resume at an index into topological_states())
+    order = sdfg.topological_states()
+    state_index = {s: i for i, s in enumerate(order)}
+    labels = [s.label for s in order]
     transitions = 0
     while state is not None:
-        if gov is not None:
-            gov.boundary(state.label)
-        if hook is not None:
-            hook(state_index.get(state, -1), ctx.containers, ctx.symbols)
+        # governor deadline check, then the checkpoint hook (DESIGN.md §10)
+        _hooks.state_boundary(state_index[state], ctx.containers,
+                              ctx.symbols, labels)
         execute_state(ctx, state)
         cond_env = dict(ctx.symbols)
         # expose scalar container values to interstate conditions

@@ -251,6 +251,49 @@ class TestWarmStartEndToEnd:
         assert not report.by_category("phase")
 
 
+def _positional_scopes(sdfg):
+    """Each state's scope_dict as node positions (stable across a
+    serialization round trip, unlike node identity)."""
+    result = []
+    for state in sdfg.states():
+        nodes = state.nodes()
+        scope = state.scope_dict()
+        result.append([None if scope[n] is None else nodes.index(scope[n])
+                       for n in nodes])
+    return result
+
+
+class TestGramschmidtRoundTrip:
+    """At -O3, gramschmidt has a tasklet inside a map with ordering in-edges
+    from outside the map; a round trip reorders those in-edges."""
+
+    def test_scopes_survive_round_trip(self):
+        from repro.bench import registry
+
+        sdfg = registry.get("gramschmidt").program.to_sdfg().clone()
+        sdfg.auto_optimize(device="CPU")
+        restored = sdfg_from_json(sdfg.to_json())
+        assert _positional_scopes(restored) == _positional_scopes(sdfg)
+
+    def test_disk_warm_restart_matches_cold(self, tmp_path):
+        from repro.bench import registry
+        from repro.cache import get_store
+
+        bench = registry.get("gramschmidt")
+        outputs, from_cache = [], []
+        with Config.override(cache__dir=str(tmp_path)):
+            for _ in range(2):
+                prog = repro.program(auto_optimize=True)(bench.program.func)
+                args = bench.arguments("test")
+                prog(**args)
+                outputs.append(args)
+                from_cache.append(prog.compile(**args).from_cache)
+                get_store().clear_memory()  # the next program starts warm
+        assert from_cache == [False, True]
+        for name in bench.outputs:
+            np.testing.assert_allclose(outputs[1][name], outputs[0][name])
+
+
 class TestPerfGate:
     BASE = {
         "benchmarks": {"gemm": {"compile_cold_s": 0.1},

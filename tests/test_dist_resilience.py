@@ -557,6 +557,21 @@ class TestGovernedDistributed:
         assert result.recovery_events == []
         assert np.allclose(Ag, Af) and np.allclose(Bg, Bf)
 
+    def test_crash_recovers_from_checkpoint_under_a_deadline(self):
+        # both consumers of the state-boundary call in one run: every rank
+        # checks its armed deadline and fires the checkpoint hook
+        A0, B0 = jacobi_inputs(seed=11)
+        Af, Bf = A0.copy(), B0.copy()
+        run_jacobi(Af, Bf)
+        Ad, Bd = A0.copy(), B0.copy()
+        plan = FaultPlan(crash_rank=2, crash_after_ops=9)
+        result = run_jacobi(Ad, Bd, fault_plan=plan, ckpt_interval=2,
+                            timeout_s=20.0, budget=Budget(deadline_s=60.0))
+        assert plan.injected["crashes"] == 1
+        assert [e.kind for e in result.recovery_events] == ["restart"]
+        assert result.recovery_events[0].boundary is not None
+        assert np.allclose(Ad, Af) and np.allclose(Bd, Bf)
+
     def test_per_rank_admission_rejects_oversized_launch(self):
         A0, B0 = jacobi_inputs(seed=10)
         with pytest.raises(MemoryBudgetExceeded):

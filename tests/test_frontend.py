@@ -428,6 +428,19 @@ class TestJITAndAOT:
         sdfg = prog.to_sdfg()  # no example arguments needed
         assert "A" in sdfg.arglist()
 
+    def test_decorator_and_call_forms_carry_the_same_options(self):
+        def func(A: repro.float64[N]):
+            A += 1.0
+
+        options = dict(auto_optimize=True, device="GPU", fallback=True,
+                       instrument="timers", sanitize="bounds",
+                       budget=repro.Budget(deadline_s=5.0))
+        called = repro.program(func, **options)
+        decorated = repro.program(**options)(func)
+        for prog in (called, decorated):
+            for name, value in options.items():
+                assert getattr(prog, name) == value, name
+
 
 class TestNestedCalls:
     def test_nested_program_call(self):

@@ -51,6 +51,11 @@ def slow_loop(A: repro.float64[N], T: repro.int64):
             A[i] = A[i] + 0.5
 
 
+@repro.program
+def nested_slow_loop(A: repro.float64[N], T: repro.int64):
+    slow_loop(A, T)
+
+
 def wcr_multicore_sdfg(n=400):
     """out[0] = sum(A) through a CPU_Multicore map (priced per-chunk
     accumulators on the parallel tier, none on the serial one)."""
@@ -414,31 +419,45 @@ class TestCircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# zero overhead when off: the governed module is a separate cache variant
+# one state-boundary call: governed and ungoverned calls share one module
 # ---------------------------------------------------------------------------
 
-class TestGovernedCodegen:
-    def test_plain_module_has_no_tick(self):
-        compiled = incr.compile(np.zeros(64))
-        assert not compiled.governed
-        assert "__tick" not in compiled.source
+class TestStateBoundary:
+    def test_budget_reuses_the_warm_module(self, tmp_path):
+        from repro.cache import reset_stats, stats
 
-    def test_governed_module_ticks_at_state_boundaries(self):
-        compiled = incr.compile(np.zeros(64), govern=True)
-        assert compiled.governed
-        assert "__tick(__state)" in compiled.source
-
-    def test_cache_keys_differ_by_govern_flag(self):
-        from repro.cache.fingerprint import cache_key
-
-        sdfg = incr.to_sdfg()
-        assert cache_key(sdfg, govern=True) != cache_key(sdfg, govern=False)
-
-    def test_governed_variant_is_correct(self):
+        prog = repro.program(auto_optimize=True)(incr.func)
         A = np.zeros(64)
-        compiled = incr.compile(A, govern=True)
-        compiled(A=A)  # no budget armed: ticks no-op
-        np.testing.assert_array_equal(A, np.ones(64))
+        with Config.override(cache__dir=str(tmp_path)):
+            reset_stats()
+            try:
+                prog(A)
+                plain = prog.compile(A)
+                prog(A, __budget=Budget(deadline_s=60.0))
+                with armed(Budget(deadline_s=60.0)):
+                    governed = prog.compile(A)
+                assert stats().misses == 1
+            finally:
+                reset_stats()
+        assert governed is plain
+        assert plain.source.count("__ckpt(") == 1  # one boundary call
+        np.testing.assert_array_equal(A, np.full(64, 2.0))
+
+    def test_nested_states_check_the_budget_while_the_hook_is_masked(self):
+        from repro.resilience import hooks
+
+        sdfg = nested_slow_loop.to_sdfg()
+        outer_labels = {s.label for s in sdfg.states()}
+        fired = []
+        with hooks.boundary_hook(lambda i, c, s: fired.append(i)):
+            with pytest.raises(ExecutionTimeout) as ei:
+                run_sdfg(sdfg, A=np.zeros(2000), T=2_000_000,
+                         budget=Budget(deadline_s=0.25))
+        # the deadline fired inside the nested state machine, whose
+        # boundaries the checkpoint hook never saw
+        assert ei.value.last_state is not None
+        assert ei.value.last_state not in outer_labels
+        assert fired == [0]
 
 
 # ---------------------------------------------------------------------------

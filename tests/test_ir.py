@@ -154,6 +154,28 @@ class TestSDFGStructure:
         assert scope[entry] is None
         assert scope[entry.exit_node] is entry
 
+    def test_scope_dict_ignores_in_edge_order(self):
+        # an empty-memlet ordering edge from outside a map into its body
+        # (state fusion adds these) must not pull the node out of the map,
+        # whichever in-edge comes first
+        from repro.ir import MapEntry
+
+        for ordering_first in (True, False):
+            sdfg = simple_sdfg()
+            state = sdfg.states()[0]
+            entry = next(n for n in state.nodes() if isinstance(n, MapEntry))
+            tasklet = next(n for n in state.nodes() if isinstance(n, Tasklet))
+            data = state.in_edges(tasklet)[0]
+            if ordering_first:
+                state.remove_edge(data)
+            state.add_nedge(state.add_access("A"), tasklet)
+            if ordering_first:
+                state.add_edge(entry, data.src_conn, tasklet, data.dst_conn,
+                               data.memlet)
+            assert isinstance(state.in_edges(tasklet)[0].src,
+                              AccessNode) == ordering_first
+            assert state.scope_dict()[tasklet] is entry
+
     def test_memlet_path(self):
         sdfg = simple_sdfg()
         state = sdfg.states()[0]
