@@ -9,6 +9,10 @@ Construction has two paths: the cold path validates the SDFG and generates
 the module, while :meth:`CompiledSDFG.from_cached` rehydrates ``_run`` from
 cached source (see :mod:`repro.cache`) and skips both validation and code
 generation — the graph was validated when the entry was created.
+
+Either way the graph is frozen once the module source exists: the calling
+convention (:class:`~repro.runtime.executor.ArgumentPlan`) is derived from
+it on the first call and reused by every later one.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import time
 from typing import Dict, Optional, Tuple
 
 from .. import instrumentation
-from ..runtime.executor import collect_return, prepare_arguments
+from ..runtime.executor import ArgumentPlan, collect_return, prepare_arguments
 
 __all__ = ["CompiledSDFG", "compile_sdfg"]
 
@@ -60,6 +64,7 @@ class CompiledSDFG:
         #: (consumed by the device performance models)
         self.last_state_visits: Dict[int, int] = {}
         self.last_symbols: Dict[str, int] = {}
+        self._plan: Optional[ArgumentPlan] = None
 
     @classmethod
     def from_cached(cls, sdfg, run, source: str,
@@ -81,10 +86,21 @@ class CompiledSDFG:
         obj.codegen_seconds = 0.0
         obj.last_state_visits = {}
         obj.last_symbols = {}
+        obj._plan = None
         return obj
 
+    @property
+    def plan(self) -> ArgumentPlan:
+        """The module's calling convention, derived from the (frozen) graph
+        on first use."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = ArgumentPlan(self.sdfg)
+        return plan
+
     def __call__(self, *args, **kwargs):
-        containers, symbols = prepare_arguments(self.sdfg, args, kwargs)
+        containers, symbols = prepare_arguments(self.sdfg, args, kwargs,
+                                                self.plan)
         return self.run_prepared(containers, symbols)
 
     def run_prepared(self, containers: Dict, symbols: Dict,
@@ -101,7 +117,7 @@ class CompiledSDFG:
         self._run(containers, symbols, visits, start_state)
         self.last_state_visits = visits
         self.last_symbols = dict(symbols)
-        return collect_return(self.sdfg, containers)
+        return collect_return(self.sdfg, containers, self.plan)
 
     def save_source(self, path: str) -> None:
         with open(path, "w") as fh:

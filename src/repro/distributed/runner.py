@@ -103,8 +103,17 @@ def run_distributed(program, size: int, grid: Optional[ProcessGrid] = None,
         sdfg = sdfg.clone()
         commopt_applied = optimize_comm(sdfg)
     compiled = compile_sdfg(sdfg)
+    plan = compiled.plan
 
     grid_obj = grid or ProcessGrid(size)
+    # reserved distribution symbols used by the transformations
+    reserved: Dict[str, int] = {}
+    if "__P" in plan.free_symbols:
+        reserved["__P"] = size
+    if "__GR0" in plan.free_symbols:
+        reserved["__GR0"] = grid_obj.dims[0]
+    if "__GR1" in plan.free_symbols:
+        reserved["__GR1"] = grid_obj.dims[1]
     visits_holder: Dict[int, int] = {}
 
     # a restart without a committed checkpoint replays from the initial
@@ -128,16 +137,10 @@ def run_distributed(program, size: int, grid: Optional[ProcessGrid] = None,
                     local_kwargs[name] = value
             if rank_args is not None:
                 local_kwargs.update(rank_args(comm.rank, grid_obj))
-            # reserved distribution symbols used by the transformations
-            free = compiled.sdfg.free_symbols
-            if "__P" in free:
-                local_kwargs.setdefault("__P", size)
-            if "__GR0" in free:
-                local_kwargs.setdefault("__GR0", grid_obj.dims[0])
-            if "__GR1" in free:
-                local_kwargs.setdefault("__GR1", grid_obj.dims[1])
+            for name, value in reserved.items():
+                local_kwargs.setdefault(name, value)
             containers, symbols = prepare_arguments(
-                compiled.sdfg, (), local_kwargs)
+                compiled.sdfg, (), local_kwargs, plan)
             if budget is not None and budget.max_bytes:
                 from ..governor.admission import admit
 

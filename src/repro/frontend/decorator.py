@@ -15,10 +15,14 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from .. import instrumentation
+from ..cache import cached_compile
 from ..config import Config
 from ..dtypes import ArrayAnnotation, dtype_of, typeclass
+from ..governor import Budget
 from ..ir.data import Array, Data, Scalar
 from ..ir.sdfg import SDFG
+from ..sanitizer import guards
 from ..symbolic import Symbol
 from .astutils import UnsupportedFeature, function_ast
 
@@ -83,6 +87,9 @@ class DaceProgram:
             for name, param in self._signature.parameters.items()
             if param.default is not inspect.Parameter.empty
         }
+        self._fully_annotated = all(
+            param.annotation is not inspect.Parameter.empty
+            for param in self._signature.parameters.values())
 
     # -------------------------------------------------------------- descriptors
     def _global_env(self) -> Dict[str, Any]:
@@ -96,30 +103,60 @@ class DaceProgram:
                     pass
         return env
 
-    def _annotation_descs(self) -> Optional[Dict[str, Any]]:
-        """Descriptors from type annotations, or None if unannotated."""
-        descs: Dict[str, Any] = {}
-        for name, param in self._signature.parameters.items():
-            annotation = param.annotation
-            if annotation is inspect.Parameter.empty:
-                return None
-            descs[name] = _annotation_to_desc(annotation)
-        return descs
+    @functools.cached_property
+    def _annotated(self) -> Dict[str, Any]:
+        """Descriptor of each annotated parameter.  Annotations are
+        immutable, so the descriptors are built once per program."""
+        return {name: _annotation_to_desc(param.annotation)
+                for name, param in self._signature.parameters.items()
+                if param.annotation is not inspect.Parameter.empty}
 
-    def _descs_from_args(self, args, kwargs) -> Dict[str, Any]:
+    @functools.cached_property
+    def _annotated_key(self) -> Tuple:
+        """The descriptor key of a fully annotated program."""
+        return self._desc_key(self._annotated)
+
+    def _annotation_descs(self) -> Optional[Dict[str, Any]]:
+        """Descriptors from type annotations, or None if unannotated.
+        Shared between calls: callers clone before mutating."""
+        return self._annotated if self._fully_annotated else None
+
+    def _bound_arguments(self, args, kwargs) -> Dict[str, Any]:
         bound = self._signature.bind_partial(*args, **kwargs)
         bound.apply_defaults()
+        return bound.arguments
+
+    def _descs_from_args(self, args, kwargs) -> Dict[str, Any]:
+        arguments = self._bound_arguments(args, kwargs)
+        annotated = self._annotated
         descs: Dict[str, Any] = {}
-        for name, param in self._signature.parameters.items():
-            annotation = param.annotation
-            if annotation is not inspect.Parameter.empty:
-                descs[name] = _annotation_to_desc(annotation)
-                continue
-            if name not in bound.arguments:
+        for name in self._signature.parameters:
+            if name in annotated:
+                descs[name] = annotated[name]
+            elif name in arguments:
+                descs[name] = _value_to_desc(arguments[name])
+            else:
                 raise TypeError(f"missing argument {name!r} for {self.name}")
-            value = bound.arguments[name]
-            descs[name] = _value_to_desc(value)
         return descs
+
+    def _call_key(self, args, kwargs) -> Tuple:
+        """The descriptor key of a call's argument signature (the
+        ``_desc_key`` of the descriptors ``to_sdfg`` parses for), built
+        without descriptor objects: memoized for annotated programs, from
+        argument dtypes and shapes otherwise."""
+        if self._fully_annotated:
+            return self._annotated_key
+        arguments = self._bound_arguments(args, kwargs)
+        annotated = self._annotated
+        parts = []
+        for name in self._signature.parameters:
+            if name in annotated:
+                parts.append(self._desc_key({name: annotated[name]})[0])
+            elif name in arguments:
+                parts.append(_value_key(name, arguments[name]))
+            else:
+                raise TypeError(f"missing argument {name!r} for {self.name}")
+        return tuple(parts)
 
     @staticmethod
     def _desc_key(descs: Dict[str, Any]) -> Tuple:
@@ -200,47 +237,35 @@ class DaceProgram:
         the generated module and skips optimization, validation, and code
         generation.
         """
-        from .. import instrumentation
-        from ..cache import cached_compile
-
         device = device or self.device
+        if sanitize is None:
+            sanitize = bool(self._sanitize_mode())
+        key = (self._call_key(args, kwargs), device, self.auto_optimize,
+               instrument, sanitize)
+        compiled = self._compiled_cache.get(key)
+        if compiled is not None:
+            return compiled
         coll = instrumentation.current()
         if coll is not None:
             with coll.region("phase", "parse"):
                 sdfg = self.to_sdfg(*args, **kwargs)
         else:
             sdfg = self.to_sdfg(*args, **kwargs)
-        if sanitize is None:
-            sanitize = bool(self._sanitize_mode())
-        key = (self._desc_key(self.to_sdfg_descs(args, kwargs)), device,
-               self.auto_optimize, instrument, sanitize)
-        if key in self._compiled_cache:
-            return self._compiled_cache[key]
         compiled = cached_compile(
             sdfg, device=device, instrument=instrument, sanitize=sanitize,
             optimize=device if self.auto_optimize else None)
         self._compiled_cache[key] = compiled
         return compiled
 
-    def to_sdfg_descs(self, args, kwargs) -> Dict[str, Any]:
-        descs = self._annotation_descs()
-        if descs is None:
-            descs = self._descs_from_args(args, kwargs)
-        return descs
-
     def _bind_call_kwargs(self, args, kwargs) -> Dict[str, Any]:
-        bound = self._signature.bind_partial(*args, **kwargs)
-        bound.apply_defaults()
         call_kwargs = {}
-        for name, value in bound.arguments.items():
+        for name, value in self._bound_arguments(args, kwargs).items():
             if isinstance(value, (np.ndarray, np.generic, int, float, complex, bool)):
                 call_kwargs[name] = value
         return call_kwargs
 
     def _sanitize_mode(self) -> str:
         """Resolved sanitizer mode: a comma-joined guard set, "" when off."""
-        from ..sanitizer import guards
-
         mode = self.sanitize
         if mode is None:
             mode = Config.get("sanitize.mode")
@@ -259,15 +284,11 @@ class DaceProgram:
         budget = kwargs.pop("__budget", None)
         smode = self._sanitize_mode()
         if smode:
-            from ..sanitizer import guards
-
             with guards.sanitize(smode, program=self.name):
                 return self._call_impl(args, kwargs, budget)
         return self._call_impl(args, kwargs, budget)
 
     def _call_impl(self, args, kwargs, budget=None):
-        from ..governor import Budget
-
         resolved = Budget.resolve(
             budget if budget is not None else self.budget)
         if not resolved.is_null:
@@ -298,7 +319,7 @@ class DaceProgram:
         gets a fresh, closed one).  Memoized per argument-descriptor
         signature; falls back to the program name when parsing fails."""
         try:
-            dkey = self._desc_key(self.to_sdfg_descs(args, kwargs))
+            dkey = self._call_key(args, kwargs)
         except Exception:
             return f"program:{self.name}"
         cached = self._breaker_keys.get(dkey)
@@ -390,8 +411,6 @@ class DaceProgram:
         """
         import contextlib
 
-        from .. import instrumentation
-
         mode = self._instrument_mode()
         outer = instrumentation.current()
         ctx = (contextlib.nullcontext(outer) if outer is not None
@@ -437,7 +456,6 @@ class DaceProgram:
         """
         import time
 
-        from .. import instrumentation
         from ..governor import GovernorError
         from ..resilience import ResilienceWarning
 
@@ -523,6 +541,17 @@ def _annotation_to_desc(annotation) -> Any:
     raise UnsupportedFeature(
         f"unsupported annotation {annotation!r}; use repro dtypes "
         f"(e.g. repro.float64[N, N])")
+
+
+def _value_key(name: str, value) -> Tuple:
+    """``_desc_key`` part of an unannotated argument, without building the
+    descriptor :func:`_value_to_desc` would."""
+    if isinstance(value, np.ndarray):
+        return (name, "Array", dtype_of(value.dtype).name,
+                tuple(str(s) for s in value.shape))
+    if isinstance(value, (np.generic, int, float, complex, bool)):
+        return (name, "Scalar", dtype_of(value).name, ("1",))
+    raise UnsupportedFeature(f"cannot infer descriptor for argument {value!r}")
 
 
 def _value_to_desc(value) -> Data:

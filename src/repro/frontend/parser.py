@@ -518,11 +518,14 @@ class ProgramVisitor:
             self._terminated = True
             return
         if isinstance(node.value, ast.Tuple):
-            values = [self._parse_expr(e) for e in node.value.elts]
-            for i, value in enumerate(values):
-                self._store_return(value, f"__return_{i}")
+            value = tuple(self._parse_expr(e) for e in node.value.elts)
         else:
+            # a tuple here is a nested program call returning several values
             value = self._parse_expr(node.value)
+        if isinstance(value, tuple):
+            for i, item in enumerate(value):
+                self._store_return(item, f"__return_{i}")
+        else:
             self._store_return(value, "__return")
         self._terminated = True
 

@@ -676,7 +676,7 @@ def _emit_nested_call(visitor: ProgramVisitor, program, node: ast.Call) -> Opera
             reads.add(name)
 
     outputs = set(writes)
-    returns = sorted(n for n in inner.arrays if n.startswith("__return"))
+    returns = inner.return_names()
     for ret in returns:
         # expose the return container as an output connector
         inner.arrays[ret].transient = False
@@ -693,9 +693,7 @@ def _emit_nested_call(visitor: ProgramVisitor, program, node: ast.Call) -> Opera
         memlet = (Memlet(outer, Range.from_string("0")) if isinstance(desc, Scalar)
                   else Memlet.from_array(outer, desc))
         state.add_edge(state.add_read(outer), None, nested, inner_name, memlet)
-    if not reads:
-        pass
-    result_ops: List[ArrayOp] = []
+    return_ops: Dict[str, ArrayOp] = {}
     for inner_name in sorted(outputs):
         if inner_name.startswith("__return"):
             inner_desc = inner.arrays[inner_name]
@@ -703,7 +701,7 @@ def _emit_nested_call(visitor: ProgramVisitor, program, node: ast.Call) -> Opera
                 outer = visitor._tmp((), inner_desc.dtype)
             else:
                 outer = visitor._tmp(inner_desc.shape, inner_desc.dtype)
-            result_ops.append(ArrayOp(outer))
+            return_ops[inner_name] = ArrayOp(outer)
         else:
             outer = arg_containers[inner_name]
         desc = visitor.sdfg.arrays[outer]
@@ -711,6 +709,8 @@ def _emit_nested_call(visitor: ProgramVisitor, program, node: ast.Call) -> Opera
                   else Memlet.from_array(outer, desc))
         state.add_edge(nested, inner_name, state.add_write(outer), None, memlet)
 
+    # in return-value order (numeric suffix), not in name order
+    result_ops = [return_ops[name] for name in returns]
     if len(result_ops) == 1:
         return result_ops[0]
     if result_ops:

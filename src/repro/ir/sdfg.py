@@ -227,6 +227,16 @@ class SDFG:
         return {name: desc for name, desc in sorted(self.arrays.items())
                 if not desc.transient}
 
+    def return_names(self) -> List[str]:
+        """The ``__return``/``__return_<i>`` containers in return-value
+        order: by numeric suffix, so ``__return_10`` follows ``__return_9``."""
+        def position(name: str):
+            suffix = name[len("__return"):].lstrip("_")
+            return (int(suffix) if suffix.isdigit() else -1, name)
+
+        return sorted((n for n in self.arrays if n.startswith("__return")),
+                      key=position)
+
     @property
     def free_symbols(self) -> Set[str]:
         """Symbols that must be provided externally (not defined by shapes of

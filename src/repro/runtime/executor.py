@@ -37,7 +37,8 @@ from ..ir.state import SDFGState
 from ..symbolic import Symbol
 from .wcr import apply_wcr
 
-__all__ = ["run_sdfg", "ExecutionError", "allocate_container", "infer_symbols"]
+__all__ = ["run_sdfg", "ExecutionError", "allocate_container", "infer_symbols",
+           "ArgumentPlan", "prepare_arguments", "collect_return"]
 
 #: hard backstop against runaway state machines
 MAX_TRANSITIONS = 100_000_000
@@ -79,58 +80,175 @@ def infer_symbols(sdfg, containers: Dict[str, Any]) -> Dict[str, int]:
     typing).  A shape-derived binding and a scalar-argument binding for the
     same symbol must agree.
     """
-    env: Dict[str, int] = {}
-    for name, desc in sdfg.arrays.items():
-        if name not in containers or isinstance(desc, (Scalar, Stream)):
-            continue
-        value = containers[name]
-        if not hasattr(value, "shape"):
-            continue
-        if len(value.shape) != len(desc.shape):
-            raise ExecutionError(
-                f"argument {name!r} has {len(value.shape)} dimensions, "
-                f"expected {len(desc.shape)}")
-        for sym_dim, actual in zip(desc.shape, value.shape):
-            if isinstance(sym_dim, Symbol):
-                if sym_dim.name in env and env[sym_dim.name] != actual:
-                    raise ExecutionError(
-                        f"inconsistent value for symbol {sym_dim.name}: "
-                        f"{env[sym_dim.name]} vs {actual} (argument {name!r})")
-                env[sym_dim.name] = int(actual)
-    # a free symbol supplied explicitly as an integer scalar argument binds
-    # too (shape-less programs have no other source); shape-derived values
-    # win conflicts only by raising, never silently
-    free = set(sdfg.free_symbols) | set(getattr(sdfg, "symbols", ()))
-    for name, desc in sdfg.arrays.items():
-        if not isinstance(desc, Scalar) or name not in containers \
-                or name not in free:
-            continue
-        value = np.asarray(containers[name]).reshape(-1)[0]
-        if not isinstance(value, (int, np.integer)):
-            continue
-        value = int(value)
-        if name in env and env[name] != value:
-            raise ExecutionError(
-                f"inconsistent value for symbol {name}: shape-derived "
-                f"{env[name]} vs scalar argument {value}")
-        env[name] = value
-    # verify composite dimensions now that symbols are bound
-    for name, desc in sdfg.arrays.items():
-        if name not in containers or isinstance(desc, (Scalar, Stream)):
-            continue
-        value = containers[name]
-        if not hasattr(value, "shape"):
-            continue
-        for sym_dim, actual in zip(desc.shape, value.shape):
-            try:
-                expected = sym_dim.evaluate(env)
-            except KeyError:
+    return ArgumentPlan(sdfg).infer_symbols(containers)
+
+
+#: container kinds recorded by :class:`ArgumentPlan`
+_ARRAY, _SCALAR, _STREAM = "array", "scalar", "stream"
+
+
+class ArgumentPlan:
+    """The calling convention of one SDFG, derived once from its graph.
+
+    Records what binding arguments and collecting results need to know
+    about the graph: the positional order, the frozen free symbols and the
+    names bindable as symbols, each container's kind and NumPy dtype, the
+    symbolic shapes symbols are inferred from, the scalar containers that
+    also bind a symbol, and the ordered return containers.  :meth:`bind`
+    and :meth:`collect` then never walk the SDFG, so a compiled module —
+    whose graph is frozen once its source exists — builds one plan and
+    reuses it on every call (DESIGN.md "Call path").
+    """
+
+    __slots__ = ("positional", "required", "free_symbols", "symbol_names",
+                 "containers", "shapes", "scalar_symbols", "returns")
+
+    def __init__(self, sdfg):
+        arrays = sdfg.arrays
+        order = sdfg.arg_names or sorted(sdfg.arglist())
+        #: non-transient containers in calling-convention order
+        self.positional = tuple(n for n in order
+                                if n in arrays and not arrays[n].transient)
+        self.required = tuple(n for n in self.positional if n != "__return")
+        self.free_symbols = frozenset(sdfg.free_symbols)
+        self.symbol_names = self.free_symbols | frozenset(sdfg.symbols)
+        #: name -> (kind, NumPy dtype) for every container
+        self.containers: Dict[str, Any] = {}
+        shapes = []
+        for name, desc in arrays.items():
+            if isinstance(desc, Scalar):
+                kind = _SCALAR
+            elif isinstance(desc, Stream):
+                kind = _STREAM
+            else:
+                kind = _ARRAY
+                # pure-symbol dimensions bind; the others are verified
+                bind = tuple((axis, dim.name) for axis, dim in
+                             enumerate(desc.shape) if isinstance(dim, Symbol))
+                check = tuple((axis, dim) for axis, dim in
+                              enumerate(desc.shape)
+                              if not isinstance(dim, Symbol))
+                shapes.append((name, len(desc.shape), bind, check))
+            self.containers[name] = (kind, desc.dtype.nptype)
+        self.shapes = tuple(shapes)
+        self.scalar_symbols = tuple(
+            name for name, desc in arrays.items()
+            if isinstance(desc, Scalar) and name in self.symbol_names)
+        #: (name, is_scalar) of the return containers, in tuple order
+        self.returns = tuple((name, isinstance(arrays[name], Scalar))
+                             for name in sdfg.return_names())
+
+    def infer_symbols(self, containers: Dict[str, Any]) -> Dict[str, int]:
+        """Symbol values implied by *containers* (see :func:`infer_symbols`)."""
+        env: Dict[str, int] = {}
+        for name, ndim, bind, _ in self.shapes:
+            value = containers.get(name)
+            if not hasattr(value, "shape"):
                 continue
-            if expected != actual:
+            if len(value.shape) != ndim:
                 raise ExecutionError(
-                    f"argument {name!r}: dimension {sym_dim} evaluates to "
-                    f"{expected} but actual size is {actual}")
-    return env
+                    f"argument {name!r} has {len(value.shape)} dimensions, "
+                    f"expected {ndim}")
+            for axis, sym in bind:
+                actual = value.shape[axis]
+                if sym in env and env[sym] != actual:
+                    raise ExecutionError(
+                        f"inconsistent value for symbol {sym}: "
+                        f"{env[sym]} vs {actual} (argument {name!r})")
+                env[sym] = int(actual)
+        # a free symbol supplied explicitly as an integer scalar argument binds
+        # too (shape-less programs have no other source); shape-derived values
+        # win conflicts only by raising, never silently
+        for name in self.scalar_symbols:
+            if name not in containers:
+                continue
+            value = np.asarray(containers[name]).reshape(-1)[0]
+            if not isinstance(value, (int, np.integer)):
+                continue
+            value = int(value)
+            if name in env and env[name] != value:
+                raise ExecutionError(
+                    f"inconsistent value for symbol {name}: shape-derived "
+                    f"{env[name]} vs scalar argument {value}")
+            env[name] = value
+        # verify composite dimensions now that symbols are bound
+        for name, _, _, check in self.shapes:
+            if not check:
+                continue
+            value = containers.get(name)
+            if not hasattr(value, "shape"):
+                continue
+            for axis, dim in check:
+                try:
+                    expected = dim.evaluate(env)
+                except KeyError:
+                    continue
+                if expected != value.shape[axis]:
+                    raise ExecutionError(
+                        f"argument {name!r}: dimension {dim} evaluates to "
+                        f"{expected} but actual size is {value.shape[axis]}")
+        return env
+
+    def bind(self, args, kwargs):
+        """Bind positional/keyword arguments to (containers, symbols) dicts.
+
+        Mutates nothing; raises :class:`ExecutionError` on signature
+        violations.
+        """
+        kwargs = dict(kwargs)
+        positional = self.positional
+        if len(args) > len(positional):
+            raise ExecutionError(
+                f"too many positional arguments: got {len(args)}, "
+                f"expected at most {len(positional)}")
+        for name, value in zip(positional, args):
+            kwargs.setdefault(name, value)
+
+        containers: Dict[str, Any] = {}
+        symbols: Dict[str, Any] = {}
+        specs = self.containers
+        for key, value in kwargs.items():
+            spec = specs.get(key)
+            if spec is None:
+                if key not in self.symbol_names:
+                    raise ExecutionError(f"unknown argument {key!r}")
+                symbols[key] = int(value)
+                continue
+            kind, nptype = spec
+            if kind is _SCALAR:
+                containers[key] = np.array([value], dtype=nptype)
+            elif kind is _STREAM:
+                containers[key] = value
+            else:
+                arr = np.asarray(value)
+                if arr.dtype != nptype:
+                    raise ExecutionError(
+                        f"argument {key!r} has dtype {arr.dtype}, expected "
+                        f"{nptype} (static symbolic typing)")
+                containers[key] = arr
+
+        symbols.update(self.infer_symbols(containers))
+        missing = [name for name in self.free_symbols if name not in symbols]
+        if missing:
+            raise ExecutionError(f"unbound symbols: {sorted(missing)}")
+        required = [n for n in self.required if n not in containers]
+        if required:
+            raise ExecutionError(f"missing arguments: {required}")
+        return containers, symbols
+
+    def collect(self, containers):
+        """The return container(s) after execution, or None."""
+        if not self.returns:
+            return None
+        results = []
+        for name, scalar in self.returns:
+            value = containers.get(name)
+            if value is not None and scalar:
+                value = value[0]
+            results.append(value)
+        if len(results) == 1:
+            return results[0]
+        return tuple(results)
 
 
 class _Context:
@@ -447,7 +565,8 @@ def _copy_edge(ctx: _Context, edge, env: Dict[str, Any]) -> None:
         if memlet.wcr:
             apply_wcr(dst_storage, 0, value, memlet.wcr)
         else:
-            dst_storage[0] = value
+            # a one-element subset (``return a[0]``) arrives as a 1-array
+            dst_storage[0] = np.reshape(value, ())
         return
     dst_slices = (dst_subset.to_slices(env) if dst_subset is not None
                   else tuple(slice(None) for _ in dst_storage.shape))
@@ -533,69 +652,20 @@ def _run_machine(sdfg, containers: Dict[str, Any], symbols: Dict[str, Any],
             raise ExecutionError("state machine exceeded the transition limit")
 
 
-def prepare_arguments(sdfg, args, kwargs):
+def prepare_arguments(sdfg, args, kwargs, plan: Optional[ArgumentPlan] = None):
     """Bind positional/keyword arguments to (containers, symbols) dicts.
 
-    Shared by the interpreter and compiled-module paths.  Mutates nothing;
-    raises :class:`ExecutionError` on signature violations.
+    Shared by the interpreter and compiled-module paths; a compiled module
+    passes its cached *plan*, so this stays the runtime's one binding entry
+    point (``perfbench/spans.py`` times it).  Mutates nothing; raises
+    :class:`ExecutionError` on signature violations.
     """
-    kwargs = dict(kwargs)
-    arg_order = [n for n in (sdfg.arg_names or sorted(sdfg.arglist()))]
-    containers: Dict[str, Any] = {}
-    symbols: Dict[str, Any] = {}
-
-    positional = list(args)
-    names = [n for n in arg_order if n in sdfg.arrays and not sdfg.arrays[n].transient]
-    if len(positional) > len(names):
-        raise ExecutionError(
-            f"too many positional arguments: got {len(positional)}, "
-            f"expected at most {len(names)}")
-    for name, value in zip(names, positional):
-        kwargs.setdefault(name, value)
-
-    for key, value in kwargs.items():
-        if key in sdfg.arrays:
-            desc = sdfg.arrays[key]
-            if isinstance(desc, Scalar):
-                containers[key] = np.array([value], dtype=desc.dtype.nptype)
-            elif isinstance(desc, Stream):
-                containers[key] = value
-            else:
-                arr = np.asarray(value)
-                if arr.dtype != desc.dtype.nptype:
-                    raise ExecutionError(
-                        f"argument {key!r} has dtype {arr.dtype}, expected "
-                        f"{desc.dtype.nptype} (static symbolic typing)")
-                containers[key] = arr
-        elif key in sdfg.symbols or key in sdfg.free_symbols:
-            symbols[key] = int(value)
-        else:
-            raise ExecutionError(f"unknown argument {key!r}")
-
-    symbols.update(infer_symbols(sdfg, containers))
-    missing = [name for name in sdfg.free_symbols if name not in symbols]
-    if missing:
-        raise ExecutionError(f"unbound symbols: {sorted(missing)}")
-    required = [n for n in names if n not in containers and n != "__return"]
-    if required:
-        raise ExecutionError(f"missing arguments: {required}")
-    return containers, symbols
+    return (plan or ArgumentPlan(sdfg)).bind(args, kwargs)
 
 
-def collect_return(sdfg, containers):
+def collect_return(sdfg, containers, plan: Optional[ArgumentPlan] = None):
     """Extract the ``__return`` container(s) after execution, or None."""
-    names = sorted(n for n in sdfg.arrays if n.startswith("__return"))
-    if not names:
-        return None
-    results = []
-    for name in names:
-        value = containers.get(name)
-        if value is not None and isinstance(sdfg.arrays[name], Scalar):
-            value = value[0]
-        results.append(value)
-    if len(results) == 1:
-        return results[0]
-    return tuple(results)
+    return (plan or ArgumentPlan(sdfg)).collect(containers)
 
 
 def run_sdfg(sdfg, *args, validate: Optional[bool] = None,
@@ -621,11 +691,12 @@ def run_sdfg(sdfg, *args, validate: Optional[bool] = None,
         validate = Config.get("validate.before_execute")
     if validate:
         sdfg.validate()
-    containers, symbols = prepare_arguments(sdfg, args, kwargs)
+    plan = ArgumentPlan(sdfg)
+    containers, symbols = prepare_arguments(sdfg, args, kwargs, plan)
     resolved = _governor_budget.Budget.resolve(budget)
     if resolved.is_null:
         _run_machine(sdfg, containers, symbols)
-        return collect_return(sdfg, containers)
+        return collect_return(sdfg, containers, plan)
 
     from ..governor import admission as _admission
 
@@ -641,4 +712,4 @@ def run_sdfg(sdfg, *args, validate: Optional[bool] = None,
                 _run_machine(sdfg, containers, symbols)
         else:
             _run_machine(sdfg, containers, symbols)
-    return collect_return(sdfg, containers)
+    return collect_return(sdfg, containers, plan)

@@ -49,9 +49,14 @@ __all__ = ["configured_threads", "get_pool", "shutdown_pool", "parallel_map",
 # worker-count resolution and pool lifecycle
 # ---------------------------------------------------------------------------
 
+#: the machine's CPU count, read once (it does not change while running)
+_CPU_COUNT = os.cpu_count() or 1
+
+
 def configured_threads() -> int:
     """Resolved worker count: ``device.cpu_threads`` config if positive,
-    else ``$REPRO_CPU_THREADS``, else ``os.cpu_count()``."""
+    else ``$REPRO_CPU_THREADS``, else the CPU count.  The configuration key
+    and the environment variable are re-read on every call."""
     value = int(Config.get("device.cpu_threads") or 0)
     if value > 0:
         return value
@@ -63,7 +68,7 @@ def configured_threads() -> int:
             value = 0
         if value > 0:
             return value
-    return os.cpu_count() or 1
+    return _CPU_COUNT
 
 
 _POOL: Optional[ThreadPoolExecutor] = None
