@@ -15,18 +15,22 @@ Device-specific passes follow: OpenMP-collapse for CPU, the
 ``{GPU,FPGA}TransformSDFG`` passes for accelerators, and finally library
 nodes are specialized using the per-platform priority lists (§3.2).
 
-Under ``resilience.transactional`` each step runs as a transaction: a step
-that raises (or leaves an invalid graph behind) is rolled back and recorded
-in the :class:`repro.resilience.FailureReport`, and optimization continues
-with the remaining steps — an optimization failure degrades the result, it
-does not corrupt it.
+Under ``resilience.transactional`` the whole run is one transaction
+(:func:`repro.resilience.pipeline_transaction`): one snapshot and static
+baseline at entry, one ``validate()`` and static check at exit, with the
+``simplify_pass`` calls inside it running plainly under the same guard.  If
+that check fails, the graph is restored and the steps replay with each step
+as its own transaction: a step that raises (or leaves an invalid graph
+behind) is rolled back and recorded in the
+:class:`repro.resilience.FailureReport`, and optimization continues with the
+remaining steps — an optimization failure degrades the result, it does not
+corrupt it.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from typing import Callable, Optional
+from typing import Callable
 
 from . import instrumentation
 from .config import Config
@@ -42,14 +46,7 @@ def auto_optimize(sdfg, device: str = "CPU", use_fast_library: bool = True,
     benchmarks), e.g. ``passes={"fusion": False}``.  ``report`` optionally
     collects rolled-back steps in a :class:`repro.resilience.FailureReport`.
     """
-    from .resilience import FailureReport, ResilienceWarning, SDFGSnapshot
-    from .transformations.dataflow.cleanup import DegenerateMapRemoval
-    from .transformations.dataflow.loop_to_map import LoopToMap
-    from .transformations.dataflow.map_collapse import MapCollapse
-    from .transformations.dataflow.map_fusion import GreedySubgraphFusion
-    from .transformations.dataflow.map_tiling import TileWCRMaps
-    from .transformations.dataflow.transient_alloc import TransientAllocationMitigation
-    from .transformations.pipeline import simplify_pass
+    from .resilience import FailureReport, pipeline_transaction
 
     enabled = {
         "cleanup": True,
@@ -63,10 +60,35 @@ def auto_optimize(sdfg, device: str = "CPU", use_fast_library: bool = True,
         "commopt": Config.get("commopt.enabled"),
     }
     enabled.update(passes or {})
-
-    transactional = Config.get("resilience.transactional")
+    if enabled["device"] and device not in ("CPU", "GPU", "FPGA"):
+        # a bad device name is a caller error, never a step failure to absorb
+        raise ValueError(f"unknown device {device!r}")
     if report is None:
         report = FailureReport()
+    pipeline_transaction(
+        sdfg, "auto_optimize", report,
+        lambda: _optimize(sdfg, device, use_fast_library, enabled, report))
+    return sdfg
+
+
+def _optimize(sdfg, device: str, use_fast_library: bool, enabled: dict,
+              report) -> None:
+    from .resilience import (
+        SDFGSnapshot,
+        _check_static_issues,
+        _static_issues,
+        pass_transactions,
+        resilience_warning,
+    )
+    from .transformations.dataflow.cleanup import DegenerateMapRemoval
+    from .transformations.dataflow.loop_to_map import LoopToMap
+    from .transformations.dataflow.map_collapse import MapCollapse
+    from .transformations.dataflow.map_fusion import GreedySubgraphFusion
+    from .transformations.dataflow.map_tiling import TileWCRMaps
+    from .transformations.dataflow.transient_alloc import TransientAllocationMitigation
+    from .transformations.pipeline import simplify_pass
+
+    transactional = pass_transactions()
 
     def step(name: str, thunk: Callable[[], None]) -> None:
         if not enabled.get(name, True):
@@ -77,25 +99,21 @@ def auto_optimize(sdfg, device: str = "CPU", use_fast_library: bool = True,
             if not transactional:
                 thunk()
                 return
-            from .resilience import _check_static_issues, _static_issues
-
             check_static = Config.get("sanitize.check_transforms")
             baseline = _static_issues(sdfg) if check_static else frozenset()
             snapshot = SDFGSnapshot.capture(sdfg)
             try:
                 thunk()
-                if not Config.get("validate.after_transform"):
-                    sdfg.validate()
+                sdfg.validate()
                 if check_static:
                     _check_static_issues(sdfg, baseline)
             except Exception as exc:
                 snapshot.restore(sdfg)
                 report.record("optimization", name, exc, "rolled-back",
                               device=device)
-                warnings.warn(
+                resilience_warning(
                     f"auto_optimize step {name!r} failed "
-                    f"({type(exc).__name__}: {exc}); rolled back and continuing",
-                    ResilienceWarning, stacklevel=3)
+                    f"({type(exc).__name__}: {exc}); rolled back and continuing")
         finally:
             if prof is not None:
                 prof.add("pass", f"autoopt.{name}",
@@ -108,10 +126,9 @@ def auto_optimize(sdfg, device: str = "CPU", use_fast_library: bool = True,
             simplify_pass(sdfg, report=report)
             count += 1
             if count >= cap:
-                warnings.warn(
+                resilience_warning(
                     f"auto_optimize: LoopToMap hit the application cap "
-                    f"({cap}) on {sdfg.name!r}; stopping",
-                    ResilienceWarning, stacklevel=2)
+                    f"({cap}) on {sdfg.name!r}; stopping")
                 break
 
     # (1) map scope cleanup
@@ -143,7 +160,7 @@ def auto_optimize(sdfg, device: str = "CPU", use_fast_library: bool = True,
             from .transformations.device.gpu_transform import GPUTransformSDFG
 
             GPUTransformSDFG.apply_repeated(sdfg)
-        elif device == "FPGA":
+        else:  # FPGA (auto_optimize rejected unknown devices)
             from .transformations.device.fpga_transform import (
                 FPGATransformSDFG,
                 StreamingComposition,
@@ -151,14 +168,8 @@ def auto_optimize(sdfg, device: str = "CPU", use_fast_library: bool = True,
 
             FPGATransformSDFG.apply_repeated(sdfg)
             StreamingComposition.apply_repeated(sdfg)
-        else:
-            raise ValueError(f"unknown device {device!r}")
 
-    if enabled["device"]:
-        if device not in ("CPU", "GPU", "FPGA"):
-            # a bad device name is a caller error, never a step failure to absorb
-            raise ValueError(f"unknown device {device!r}")
-        step("device", device_passes)
+    step("device", device_passes)
 
     # library specialization (§3.2)
     def library() -> None:
@@ -181,5 +192,3 @@ def auto_optimize(sdfg, device: str = "CPU", use_fast_library: bool = True,
         optimize_comm(sdfg)
 
     step("commopt", commopt_pass)
-
-    return sdfg

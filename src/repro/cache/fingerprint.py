@@ -81,8 +81,8 @@ def config_digest() -> str:
 
     relevant = {}
     for key in sorted(Config.keys()):
-        if key.startswith(("optimizer.", "device.", "parallel.")) or key in (
-                "sanitize.check_transforms", "validate.after_transform"):
+        if key.startswith(("optimizer.", "device.", "parallel.")) or (
+                key == "sanitize.check_transforms"):
             relevant[key] = Config.get(key)
     relevant["resolved.cpu_threads"] = configured_threads()
     blob = json.dumps(relevant, sort_keys=True, default=str)

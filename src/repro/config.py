@@ -33,7 +33,6 @@ _DEFAULTS: Dict[str, Any] = {
     "sanitize.mode": "off",                  # "off" | "bounds" | "nan" | "bounds,nan"
     "sanitize.check_transforms": True,       # static race/bounds gate on passes
     # Validation
-    "validate.after_transform": True,
     "validate.before_execute": True,         # run ir.validation before run_sdfg
     # Resilience (see repro.resilience and DESIGN.md)
     "resilience.mode": "strict",             # "strict" raises, "degrade" falls back

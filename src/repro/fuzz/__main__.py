@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 
+from ..resilience import pipeline_replays
 from .gen import generate_case, render_module
 from .runner import run_campaign, run_gen_case, run_source_case
 from .shrink import corpus_files, load_corpus_entry, save_corpus_entry, shrink_case
@@ -37,7 +38,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"{report.elapsed_s:.1f}s — ok={report.counts.get('ok', 0)} "
           f"explained={report.counts.get('explained', 0)} "
           f"divergent={report.counts.get('divergence', 0)} "
-          f"invalid={report.counts.get('invalid', 0)}")
+          f"invalid={report.counts.get('invalid', 0)} "
+          f"pipeline-replays={sum(report.replays.values())}")
     for finding in report.findings[:10]:
         print(f"  case {finding['index']} (seed {finding['seed']}): "
               f"{finding.get('mismatches') or finding.get('stages')}")
@@ -52,15 +54,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     failures = 0
     for path in paths:
         entry = load_corpus_entry(path)
+        replays = pipeline_replays()
         result = run_source_case(
             entry["module"], entry["arrays"], entry.get("scalars", ()),
             entry["seed"], variant=entry.get("variant"))
+        replays = pipeline_replays() - replays
         status = result.verdict
         if entry.get("expect", "match") == "match" and status != "ok":
             failures += 1
             print(f"FAIL {path}: {result.mismatches or result.stages}")
         else:
-            print(f"ok   {path}")
+            note = f" (pipeline replays: {replays})" if replays else ""
+            print(f"ok   {path}{note}")
     return 1 if failures else 0
 
 

@@ -31,6 +31,7 @@ import numpy as np
 from ..autoopt import auto_optimize
 from ..codegen import compile_sdfg
 from ..config import Config
+from ..resilience import pipeline_replays
 from ..runtime.executor import run_sdfg
 from ..sanitizer.oracle import compare_values
 from .gen import GenCase, generate_case, render_module
@@ -70,13 +71,19 @@ class CampaignReport:
     counts: Dict[str, int] = field(default_factory=lambda: {
         "ok": 0, "divergence": 0, "explained": 0, "invalid": 0})
     findings: List[dict] = field(default_factory=list)
+    #: case index -> pass pipelines that fell back from one transaction to
+    #: the per-pass replay while the case ran (cases with none are left out)
+    replays: Dict[int, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {"schema": REPORT_SCHEMA, "seed": self.seed,
                 "cases": self.cases, "completed": self.completed,
                 "elapsed_s": round(self.elapsed_s, 3),
                 "budget_s": self.budget_s, "counts": dict(self.counts),
-                "findings": self.findings}
+                "findings": self.findings,
+                "pipeline_replays": sum(self.replays.values()),
+                "replays_by_case": {str(i): n
+                                    for i, n in sorted(self.replays.items())}}
 
     def write(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -312,9 +319,13 @@ def run_campaign(seed: int, cases: int, *, budget_s: Optional[float] = None,
         if mutate and rng.random() < 0.3:
             case = mutate_case(case, rng)
         variant = variant_for(index, rng)
+        replays = pipeline_replays()
         result = run_gen_case(case, variant=variant, workdir=workdir,
                               index=index, explanations=explanations)
+        replays = pipeline_replays() - replays
         report.completed += 1
+        if replays:
+            report.replays[index] = replays
         if result.explained is not None:
             report.counts["explained"] += 1
         report.counts[result.verdict] = report.counts.get(result.verdict, 0) + 1

@@ -1,8 +1,8 @@
 """Cross-cutting resilience subsystem (package).
 
 :mod:`repro.resilience.core` carries the original single-module API
-(transactional transformation application, quarantine, oscillation control,
-structured failure reporting) and is re-exported here unchanged, so
+(pipeline transactions with per-pass replay, quarantine, oscillation
+control, structured failure reporting) and is re-exported here unchanged, so
 ``from repro.resilience import transactional_apply`` keeps working.
 
 :mod:`repro.resilience.distributed` adds coordinated checkpoint/restart for
@@ -26,6 +26,10 @@ from .core import (  # noqa: F401
     SDFGSnapshot,
     _check_static_issues,
     _static_issues,
+    pass_transactions,
+    pipeline_replays,
+    pipeline_transaction,
+    resilience_warning,
     sdfg_fingerprint,
     transactional_apply,
     transformation_name,
@@ -50,6 +54,10 @@ __all__ = [
     "OscillationDetector",
     "ResilienceWarning",
     "transactional_apply",
+    "pipeline_transaction",
+    "pipeline_replays",
+    "pass_transactions",
+    "resilience_warning",
     "sdfg_fingerprint",
     "RankSnapshot",
     "WorldCheckpoint",

@@ -5,16 +5,22 @@ chaining dozens of automatic graph transformations, and by DaCe's practice of
 validating between passes because transformation bugs are the dominant
 failure mode of such compilers):
 
-1. **Transactional transformation application** — snapshot → apply →
-   validate → rollback-on-failure, so one buggy pass cannot corrupt an SDFG.
-   Snapshots go through :mod:`repro.ir.serialize` (JSON round-trip) when the
-   graph is serializable, and fall back to ``copy.deepcopy`` otherwise
-   (e.g. unexpanded library nodes).
+1. **Transactional transformation pipelines** — a whole pass pipeline
+   (``simplify_pass``, ``auto_optimize``) runs as one transaction: one
+   snapshot and one static-issue baseline at entry, the passes unguarded,
+   then one ``validate()`` and one static check at exit
+   (:func:`pipeline_transaction`).  Only when that fails does the pipeline
+   roll back and *replay* with every pass under its own snapshot → apply →
+   validate → rollback-on-failure transaction (:func:`transactional_apply`),
+   which names, rolls back and quarantines the faulty pass.  Snapshots go
+   through :mod:`repro.ir.serialize` (JSON round-trip) when the graph is
+   serializable, and fall back to ``copy.deepcopy`` otherwise (e.g.
+   unexpanded library nodes).
 2. **Quarantine + oscillation control** — passes that repeatedly fail on a
    given SDFG are quarantined instead of retried forever, and fixed-point
    drivers can detect A/B oscillations through graph fingerprints.
-3. **Structured failure reporting** — every rollback or degradation is
-   recorded in a :class:`FailureReport` instead of crashing (or worse,
+3. **Structured failure reporting** — every replay, rollback or degradation
+   is recorded in a :class:`FailureReport` instead of crashing (or worse,
    silently continuing), so callers can inspect what went wrong and what the
    system did about it.
 
@@ -28,10 +34,13 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
+import threading
 import warnings
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, TypeVar
 
 from ..config import Config
+from ..instrumentation import record_region
 
 __all__ = [
     "FailureRecord",
@@ -41,6 +50,10 @@ __all__ = [
     "OscillationDetector",
     "ResilienceWarning",
     "transactional_apply",
+    "pipeline_transaction",
+    "pipeline_replays",
+    "pass_transactions",
+    "resilience_warning",
     "sdfg_fingerprint",
 ]
 
@@ -81,10 +94,10 @@ class FailureRecord:
 
     def __init__(self, kind: str, subject: str, error: BaseException,
                  action: str, **detail: Any):
-        self.kind = kind            # "transformation" | "optimization" | "degradation"
-        self.subject = subject      # pass name or program name
+        self.kind = kind            # "pipeline" | "transformation" | "optimization" | "degradation"
+        self.subject = subject      # pipeline, pass or program name
         self.error = error
-        self.action = action        # "rolled-back" | "quarantined" | "fell-back:<stage>"
+        self.action = action        # "replayed" | "rolled-back" | "quarantined" | "fell-back:<stage>"
         self.detail = detail
 
     def __repr__(self) -> str:
@@ -166,20 +179,18 @@ class SDFGSnapshot:
     callers holding a reference to the SDFG see the rollback.
     """
 
-    __slots__ = ("_json", "_clone", "_constants")
+    __slots__ = ("_json", "_clone", "_extras")
 
     def __init__(self, json_text: Optional[str], clone: Optional[Any],
-                 constants: Optional[Dict[str, Any]] = None):
+                 extras: Optional[List[tuple]] = None):
         self._json = json_text
         self._clone = clone
-        self._constants = constants
+        self._extras = extras
 
     @classmethod
     def capture(cls, sdfg) -> "SDFGSnapshot":
         try:
-            # constants (e.g. module objects) are not part of the JSON
-            # format; carry them alongside the serialized graph
-            return cls(json.dumps(sdfg.to_json()), None, dict(sdfg.constants))
+            return cls(json.dumps(sdfg.to_json()), None, _capture_extras(sdfg))
         except Exception:
             return cls(None, copy.deepcopy(sdfg))
 
@@ -188,7 +199,7 @@ class SDFGSnapshot:
             from ..ir.serialize import sdfg_from_json
 
             source = sdfg_from_json(json.loads(self._json))
-            source.constants = dict(self._constants or {})
+            _restore_extras(source, self._extras)
         else:
             # a snapshot may be restored more than once: keep ours pristine
             source = copy.deepcopy(self._clone)
@@ -200,6 +211,56 @@ class SDFGSnapshot:
         # throwaway deserialized/cloned instance
         for state in sdfg.states():
             state.sdfg = sdfg
+
+
+def _sdfg_tree(sdfg):
+    """*sdfg* and its nested SDFGs, in serialization order."""
+    from ..ir.nodes import NestedSDFG
+
+    yield sdfg
+    for state in sdfg.states():
+        for node in state.nodes():
+            if isinstance(node, NestedSDFG):
+                yield from _sdfg_tree(node.sdfg)
+
+
+def _capture_extras(sdfg) -> List[tuple]:
+    """What the JSON format leaves out, per (nested) SDFG: its constants
+    (e.g. module objects), its state-label counter, and the frontend's
+    ``loop_info`` on loop guards (which LoopToMap matches on), with its
+    state references stored as state indices."""
+    from ..ir.state import SDFGState
+
+    extras = []
+    for graph in _sdfg_tree(sdfg):
+        states = graph.states()
+        index = {state: i for i, state in enumerate(states)}
+        loops = []
+        for i, state in enumerate(states):
+            info = getattr(state, "loop_info", None)
+            if info is None:
+                continue
+            refs = {key: index.get(value) for key, value in info.items()
+                    if isinstance(value, SDFGState)}
+            plain = {key: value for key, value in info.items()
+                     if key not in refs}
+            loops.append((i, plain, refs))
+        extras.append((dict(graph.constants), graph._state_counter, loops))
+    return extras
+
+
+def _restore_extras(sdfg, extras: List[tuple]) -> None:
+    for graph, (constants, counter, loops) in zip(_sdfg_tree(sdfg), extras):
+        graph.constants = dict(constants)
+        graph._state_counter = counter
+        states = graph.states()
+        for i, plain, refs in loops:
+            info = dict(plain)
+            # a reference to a state no longer in the graph comes back as
+            # None, which matches no state either
+            info.update({key: None if j is None else states[j]
+                         for key, j in refs.items()})
+            states[i].loop_info = info
 
 
 def sdfg_fingerprint(sdfg) -> Optional[str]:
@@ -318,12 +379,10 @@ def transactional_apply(sdfg, transformation, *,
         snapshot = SDFGSnapshot.capture(sdfg)
         applied = transformation.apply_repeated(
             sdfg, max_applications=max_applications, **options)
-        if applied and not Config.get("validate.after_transform"):
-            # apply_once validates per application when the config flag is
-            # on; otherwise the transaction still validates the final graph
+        if applied:
             sdfg.validate()
-        if applied and check_static:
-            _check_static_issues(sdfg, baseline)
+            if check_static:
+                _check_static_issues(sdfg, baseline)
         return applied
     except Exception as exc:
         if snapshot is not None:
@@ -338,7 +397,128 @@ def transactional_apply(sdfg, transformation, *,
             detail = {}
         if report is not None:
             report.record("transformation", name, exc, action, **detail)
-        warnings.warn(
+        resilience_warning(
             f"transformation {name} failed ({type(exc).__name__}: {exc}); "
-            f"SDFG {sdfg.name!r} {action}", ResilienceWarning, stacklevel=2)
+            f"SDFG {sdfg.name!r} {action}", stacklevel=2)
         return 0
+
+
+# --------------------------------------------------------------------------
+# pipeline transaction
+# --------------------------------------------------------------------------
+
+class _PipelineGuard(threading.local):
+    """Per-thread state of the pipeline transaction.  Compiles may run on
+    several threads at once, so this never lives in the global Config."""
+
+    #: guarded pipeline calls open on this thread (nested ones run plainly)
+    depth = 0
+    #: ResilienceWarnings held back during a fast run; None outside one
+    deferred: Optional[List[tuple]] = None
+
+
+_GUARD = _PipelineGuard()
+_replays = 0
+_replays_lock = threading.Lock()
+
+T = TypeVar("T")
+
+
+def pipeline_replays() -> int:
+    """Pipelines that fell back to the per-pass replay in this process."""
+    return _replays
+
+
+def pass_transactions() -> bool:
+    """Whether pipeline members run under their own per-pass transaction:
+    on under ``resilience.transactional``, except inside the fast run of a
+    :func:`pipeline_transaction`, which checks the whole pipeline at once."""
+    return _GUARD.deferred is None and Config.get("resilience.transactional")
+
+
+def resilience_warning(message: str, stacklevel: int = 1) -> None:
+    """``warnings.warn(message, ResilienceWarning)``, held back while a fast
+    pipeline run is open: its warnings are emitted (at their original
+    location) only if the run commits, so a replay never repeats one."""
+    deferred = _GUARD.deferred
+    if deferred is None:
+        warnings.warn(message, ResilienceWarning, stacklevel=stacklevel + 1)
+        return
+    frame = sys._getframe(stacklevel)
+    deferred.append((message, frame.f_code.co_filename, frame.f_lineno,
+                     frame.f_globals))
+
+
+def _emit(deferred: List[tuple]) -> None:
+    for message, filename, lineno, module_globals in deferred:
+        warnings.warn_explicit(
+            message, ResilienceWarning, filename, lineno,
+            module=module_globals.get("__name__", "<string>"),
+            registry=module_globals.setdefault("__warningregistry__", {}),
+            module_globals=module_globals)
+
+
+def pipeline_transaction(sdfg, name: str, report: FailureReport,
+                         run: Callable[[], T]) -> T:
+    """Run the pass pipeline *run* over *sdfg* as one transaction.
+
+    Fast path: one static-issue baseline and one snapshot at entry, the
+    passes with no per-pass transaction (:func:`pass_transactions` is off),
+    then one ``validate()`` and one static check against the entry
+    baseline.  Fault path: if anything raised or a new provable issue
+    appeared, restore the entry snapshot, record a ``pipeline`` /
+    ``replayed`` entry in *report*, and run the pipeline again with every
+    pass under its own transaction.  Passes are deterministic, so the replay
+    rolls back or quarantines the same pass as a per-pass run would, with
+    the same records and warnings.
+
+    Only the outermost call on a thread is guarded: pipelines nested in it
+    (``simplify_pass`` inside ``auto_optimize``, recursion into nested
+    SDFGs) run plainly under the outer transaction, in whichever mode it is
+    in.  With ``resilience.transactional`` off, *run* runs unguarded.
+    """
+    if _GUARD.depth or not Config.get("resilience.transactional"):
+        return run()
+    _GUARD.depth += 1
+    try:
+        return _guarded(sdfg, name, report, run)
+    finally:
+        _GUARD.depth -= 1
+
+
+def _guarded(sdfg, name: str, report: FailureReport, run: Callable[[], T]) -> T:
+    global _replays
+
+    check_static = Config.get("sanitize.check_transforms")
+    baseline = frozenset()
+    if check_static:
+        with record_region("pass", "guard.static"):
+            baseline = _static_issues(sdfg)
+    with record_region("pass", "guard.snapshot"):
+        snapshot = SDFGSnapshot.capture(sdfg)
+    deferred = _GUARD.deferred = []
+    try:
+        result = run()
+        with record_region("pass", "guard.validate"):
+            sdfg.validate()
+        if check_static:
+            with record_region("pass", "guard.static"):
+                _check_static_issues(sdfg, baseline)
+    except Exception as exc:
+        fault = exc
+    else:
+        fault = None
+    finally:
+        _GUARD.deferred = None
+    if fault is None:
+        _emit(deferred)
+        return result
+    snapshot.restore(sdfg)
+    with _replays_lock:
+        _replays += 1
+    if getattr(fault, "kind", None) == "static":
+        detail = {"issues": fault.detail.get("issues", [])}
+    else:
+        detail = {"cause": f"{type(fault).__name__}: {fault}"}
+    report.record("pipeline", name, fault, "replayed", **detail)
+    return run()

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import FrozenSet
 
-from .bounds import IN_BOUNDS, OUT_OF_BOUNDS, BoundsVerdict, check_bounds
+from .bounds import (IN_BOUNDS, OUT_OF_BOUNDS, BoundsVerdict, check_bounds,
+                     out_of_bounds_keys)
 from .guards import SanitizerError, active_modes, sanitize
 from .races import RACE, RACE_FREE, UNPROVED, MapRaceVerdict, check_races
 
@@ -65,7 +66,5 @@ def static_issue_keys(sdfg) -> FrozenSet[str]:
         if verdict.verdict == RACE:
             keys.add(f"race:{verdict.state}:{verdict.map_label}:"
                      + ",".join(sorted({c.container for c in verdict.conflicts})))
-    for verdict in check_bounds(sdfg):
-        if verdict.verdict == OUT_OF_BOUNDS:
-            keys.add(f"oob:{verdict.state}:{verdict.container}:{verdict.subset}")
+    keys.update(out_of_bounds_keys(sdfg))
     return frozenset(keys)

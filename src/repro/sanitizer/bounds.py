@@ -24,7 +24,7 @@ ranks; this module compares symbolic extents:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..ir.data import Scalar, Stream
 from ..ir.memlet import Memlet
@@ -194,11 +194,13 @@ def _descriptor_for(edge: Edge, memlet: Memlet, sdfg: SDFG, other: bool):
     return None, None
 
 
-def check_bounds(sdfg: SDFG) -> List[BoundsVerdict]:
-    """Bounds-check every memlet subset of *sdfg* (including nested SDFGs)."""
+def _walk(sdfg: SDFG) -> Iterator[Tuple[SDFG, SDFGState, str, Any, str, str]]:
+    """``(sdfg, state, container, subset, verdict, detail)`` for every
+    memlet subset of *sdfg* (including nested SDFGs).  Subsets stay
+    unformatted: ``str(subset)`` runs a symbolic comparison per dimension,
+    so each caller formats only the verdicts it keeps."""
     from ..ir.nodes import NestedSDFG
 
-    verdicts: List[BoundsVerdict] = []
     for state in sdfg.states():
         scope = state.scope_dict()
         for edge in state.edges():
@@ -216,14 +218,26 @@ def check_bounds(sdfg: SDFG) -> List[BoundsVerdict]:
                 if subset.ndim != desc.ndim:
                     continue  # rank errors belong to structural validation
                 if memlet.dynamic:
-                    verdicts.append(BoundsVerdict(
-                        sdfg.name, state.label, name, str(subset), UNPROVED,
-                        "dynamic (data-dependent) memlet"))
+                    yield (sdfg, state, name, subset, UNPROVED,
+                           "dynamic (data-dependent) memlet")
                     continue
                 verdict, detail = _subset_verdict(subset, desc.shape, chain)
-                verdicts.append(BoundsVerdict(
-                    sdfg.name, state.label, name, str(subset), verdict, detail))
+                yield sdfg, state, name, subset, verdict, detail
         for node in state.nodes():
             if isinstance(node, NestedSDFG):
-                verdicts.extend(check_bounds(node.sdfg))
-    return verdicts
+                yield from _walk(node.sdfg)
+
+
+def check_bounds(sdfg: SDFG) -> List[BoundsVerdict]:
+    """Bounds-check every memlet subset of *sdfg* (including nested SDFGs)."""
+    return [BoundsVerdict(owner.name, state.label, name, str(subset),
+                          verdict, detail)
+            for owner, state, name, subset, verdict, detail in _walk(sdfg)]
+
+
+def out_of_bounds_keys(sdfg: SDFG) -> List[str]:
+    """``oob:<state>:<container>:<subset>`` for every provably out-of-bounds
+    subset; only these are formatted."""
+    return [f"oob:{state.label}:{name}:{subset}"
+            for _owner, state, name, subset, verdict, _detail in _walk(sdfg)
+            if verdict == OUT_OF_BOUNDS]

@@ -5,19 +5,21 @@ analogue): a fixed set of transformations that only modify or remove graph
 elements, so the pass terminates.  ``auto_optimize`` (§3.1) lives in
 :mod:`repro.autoopt` and builds on these.
 
-The driver is *transactional* (``resilience.transactional``): every member
-pass runs under snapshot → apply → validate → rollback-on-failure, passes
-that keep failing on the same SDFG are quarantined, and the fixed-point loop
-is guarded by an application cap plus an oscillation detector, so a buggy
-pass (or a buggy pair of passes undoing each other) degrades the pipeline
-instead of corrupting the graph or looping forever.
+The driver is *transactional* (``resilience.transactional``): the whole
+pipeline runs as one transaction (:func:`repro.resilience
+.pipeline_transaction`) that snapshots and baselines the static issues once
+at entry, and validates and static-checks once at exit.  Only if that fails
+does it roll back and replay with every member pass under its own snapshot
+→ apply → validate → rollback-on-failure transaction, where passes that
+keep failing on the same SDFG are quarantined.  The fixed-point loop is
+guarded by an application cap plus an oscillation detector, so a buggy pass
+(or a buggy pair of passes undoing each other) degrades the pipeline instead
+of corrupting the graph or looping forever.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from typing import Optional
 
 from .. import instrumentation
 from ..config import Config
@@ -50,22 +52,30 @@ def simplify_pass(sdfg, report=None) -> int:
     total number of applications.
 
     ``report`` optionally receives a :class:`repro.resilience.FailureReport`
-    that collects every rolled-back pass instead of crashing the pipeline.
+    that collects every replay and rolled-back pass instead of crashing the
+    pipeline.
     """
+    from ..resilience import FailureReport, pipeline_transaction
+
+    if report is None:
+        report = FailureReport()
+    return pipeline_transaction(sdfg, "simplify", report,
+                                lambda: _coarsen(sdfg, report))
+
+
+def _coarsen(sdfg, report) -> int:
     from ..ir.nodes import NestedSDFG
     from ..resilience import (
-        FailureReport,
         OscillationDetector,
         Quarantine,
-        ResilienceWarning,
+        pass_transactions,
+        resilience_warning,
         transactional_apply,
         transformation_name,
     )
 
-    transactional = Config.get("resilience.transactional")
+    transactional = pass_transactions()
     cap = Config.get("resilience.max_pass_applications")
-    if report is None:
-        report = FailureReport()
     quarantine = Quarantine()
 
     # nested SDFGs coarsen first, so single-state callees become inlinable
@@ -102,17 +112,16 @@ def simplify_pass(sdfg, report=None) -> int:
                 changed = True
                 sweep_active.append(name)
         if total >= cap:
-            warnings.warn(
+            resilience_warning(
                 f"simplify_pass on {sdfg.name!r} hit the application cap "
                 f"({cap}); likely non-terminating transformation(s): "
-                f"{', '.join(sweep_active) or 'unknown'}",
-                ResilienceWarning, stacklevel=2)
+                f"{', '.join(sweep_active) or 'unknown'}")
             break
         if changed and detector.observe(sdfg):
-            warnings.warn(
+            resilience_warning(
                 f"simplify_pass on {sdfg.name!r} is oscillating: "
                 f"transformation(s) {', '.join(sweep_active)} returned the "
                 f"graph to a previously-seen state; stopping the fixed-point "
-                f"loop", ResilienceWarning, stacklevel=2)
+                f"loop")
             break
     return total
